@@ -9,6 +9,12 @@ seconds, to keep the compiled-recording fast path honest:
   compiled program (``engine="compiled"``), interleaved rep-for-rep so
   machine noise hits both engines equally.  The two engines must agree bit-for-bit (outputs, virtual
   delay, replay statistics) before any number is reported.
+* **mmu** — one record run's page-table traffic (the driver's inserts
+  and unmaps, the GPU's buffer translations and TLB flushes) replayed
+  through the range-granular :class:`~repro.hw.mmu.GpuMmu` /
+  :class:`~repro.driver.mmu_driver.MmuTables` and through the per-page
+  reference kept with the tests (``tests/mmu_reference.py``).  Both
+  must produce identical page-table bytes and translations.
 * **memsync encode** — the recording's own §5 sync traffic replayed
   through the current :class:`~repro.core.memsync.MemorySynchronizer`
   and through a faithful reproduction of the seed encode path (one
@@ -31,11 +37,14 @@ timed separately rather than folded into steady-state throughput.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import platform
 import statistics
 import time
+from contextlib import contextmanager
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +55,9 @@ from repro.core.recorder import NAIVE, OURS_MDS, RecordSession
 from repro.core.recording import MemWrite, Recording
 from repro.core.replayer import Replayer
 from repro.core.testbed import ClientDevice
+from repro.driver.mmu_driver import MmuMapError, MmuTables
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
+from repro.hw.mmu import GpuMmu, GpuPageFault
 from repro.ml.models import build_model
 from repro.ml.runner import generate_weights
 
@@ -147,6 +158,129 @@ def bench_replay(workload: str = "alexnet", recorder=NAIVE,
         "speedup_median": med_l / med_c,
         "speedup_best": best_l / best_c,
         "identical": identical,
+    }
+
+
+# ----------------------------------------------------------------------
+# MMU: range-granular walk and PTE writes vs the per-page reference
+# ----------------------------------------------------------------------
+#: Memory for the replayed page tables (mapped PAs are only numbers to
+#: the MMU; only table pages are ever written).
+_MMU_BENCH_MEM = 64 << 20
+
+
+def _load_mmu_reference():
+    """The per-page reference MMU kept with the tests, loaded from the
+    source checkout's ``tests/mmu_reference.py``; None without one."""
+    path = Path(__file__).resolve().parents[3] / "tests" / "mmu_reference.py"
+    if not path.is_file():
+        return None
+    spec = importlib.util.spec_from_file_location("repro_mmu_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@contextmanager
+def _logging_calls(owner, name: str, tag: str, log: List[Tuple]):
+    """Append ``(tag, *args)`` to ``log`` for every ``owner.name`` call
+    while the block runs."""
+    raw = owner.__dict__[name]
+
+    def logged(self, *args):
+        log.append((tag, *args))
+        return raw(self, *args)
+
+    setattr(owner, name, logged)
+    try:
+        yield
+    finally:
+        setattr(owner, name, raw)
+
+
+def _capture_mmu_traffic(workload: str, recorder) -> List[Tuple]:
+    """One record run's page-table traffic, in program order: driver
+    ``insert``/``unmap`` calls, GPU ``translate`` calls (buffer ranges)
+    and TLB ``flush``es."""
+    log: List[Tuple] = []
+    with _logging_calls(MmuTables, "insert_pages", "insert", log), \
+            _logging_calls(MmuTables, "unmap_pages", "unmap", log), \
+            _logging_calls(GpuMmu, "translate_contiguous", "translate", log), \
+            _logging_calls(GpuMmu, "flush_tlb", "flush", log):
+        RecordSession(build_model(workload), config=recorder).run()
+    return log
+
+
+def _replay_mmu_traffic(traffic: List[Tuple], tables_cls, mmu_cls):
+    """Apply ``traffic`` to fresh tables and MMU; returns (per-kind wall
+    seconds, outcome list, table pages)."""
+    mem = PhysicalMemory(size=_MMU_BENCH_MEM)
+    tables = tables_cls(mem, pte_format=1)
+    mmu = mmu_cls(mem, pte_format=1)
+    mmu.configure(tables.root_pa)
+    calls = {"insert": tables.insert_pages, "unmap": tables.unmap_pages,
+             "translate": mmu.translate_contiguous, "flush": mmu.flush_tlb}
+    spent = {"insert": 0.0, "translate": 0.0}
+    outcomes = []
+    for tag, *args in traffic:
+        fn = calls[tag]
+        t0 = time.perf_counter()
+        try:
+            outcome = fn(*args)
+        except (GpuPageFault, MmuMapError) as exc:
+            outcome = repr(exc)
+        elapsed = time.perf_counter() - t0
+        outcomes.append(outcome)
+        if tag != "flush":
+            spent["translate" if tag == "translate" else "insert"] += elapsed
+    table_bytes = {pfn: mem.page_bytes(pfn) for pfn in tables.table_pfns}
+    return spent, outcomes, table_bytes
+
+
+def bench_mmu(workload: str = "alexnet", recorder=OURS_MDS,
+              reps: int = 5) -> Dict:
+    """Range-granular MMU vs the per-page reference on one record run's
+    page-table traffic, interleaved rep-for-rep."""
+    reference = _load_mmu_reference()
+    if reference is None:
+        return {"workload": workload, "recorder": recorder.name,
+                "skipped": "no tests/mmu_reference.py beside the package"}
+    traffic = _capture_mmu_traffic(workload, recorder)
+    sides = {"range": (MmuTables, GpuMmu),
+             "per_page": (reference.ReferenceTables, reference.ReferenceMmu)}
+    times: Dict[str, List[Dict[str, float]]] = {k: [] for k in sides}
+    results = {}
+    for _ in range(reps):
+        for side, (tables_cls, mmu_cls) in sides.items():
+            spent, outcomes, table_bytes = _replay_mmu_traffic(
+                traffic, tables_cls, mmu_cls)
+            times[side].append(spent)
+            results[side] = (outcomes, table_bytes)
+
+    def summary(side: str) -> Dict[str, float]:
+        runs = times[side]
+        return {
+            "insert_s": statistics.median(r["insert"] for r in runs),
+            "translate_s": statistics.median(r["translate"] for r in runs),
+            "median_s": statistics.median(
+                r["insert"] + r["translate"] for r in runs),
+        }
+
+    fast, slow = summary("range"), summary("per_page")
+    inserts = [op for op in traffic if op[0] == "insert"]
+    return {
+        "workload": workload,
+        "recorder": recorder.name,
+        "reps": reps,
+        "inserts": len(inserts),
+        "translations": sum(op[0] == "translate" for op in traffic),
+        "pages_mapped": sum(-(-nbytes // PAGE_SIZE)
+                            for _, _, _, nbytes, _ in inserts),
+        "range": fast,
+        "per_page": slow,
+        "speedup": slow["median_s"] / fast["median_s"],
+        "tables_identical": results["range"][1] == results["per_page"][1],
+        "translations_identical": results["range"][0] == results["per_page"][0],
     }
 
 
@@ -622,6 +756,7 @@ def run_perf(quick: bool = False, reps: int = 5,
             "machine": platform.machine(),
         },
         "replay": replay,
+        "mmu": [bench_mmu("alexnet", OURS_MDS, reps=3 if quick else 5)],
         "memsync": [bench_memsync("alexnet", NAIVE, epochs=epochs,
                                   recording=recording)],
         "cold_start": [bench_cold_start(
@@ -670,6 +805,18 @@ def compare_baseline(doc: Dict, baseline: Dict,
         for name, ok in streaming[0]["identical"].items():
             if not ok:
                 failures.append(f"replay engines diverged on {name}")
+    if "mmu_speedup" in baseline:
+        row = (doc.get("mmu") or [{"skipped": "no mmu section"}])[0]
+        if "skipped" in row:
+            failures.append(f"mmu bench did not run: {row['skipped']}")
+        else:
+            gate("mmu speedup", row["speedup"], baseline["mmu_speedup"])
+            if not row["tables_identical"]:
+                failures.append("mmu page-table bytes diverged from the "
+                                "per-page reference")
+            if not row["translations_identical"]:
+                failures.append("mmu translations diverged from the "
+                                "per-page reference")
     if doc.get("memsync"):
         gate("memsync pages/s", doc["memsync"][0]["optimized"]["pages_per_s"],
              baseline["memsync_pages_per_s"])

@@ -199,7 +199,8 @@ def chaos_summary_tables(summary: dict) -> str:
 def perf_summary_tables(doc: dict) -> str:
     """Render a ``BENCH_replay.json`` document (see
     :mod:`repro.analysis.perf`) as the wall-clock performance report:
-    per-workload replay engine comparison, then §5 encode throughput."""
+    per-workload replay engine comparison, the MMU range walk, then §5
+    encode throughput."""
     replay_rows = []
     for r in doc.get("replay", ()):
         identical = all(r["identical"].values())
@@ -215,6 +216,23 @@ def perf_summary_tables(doc: dict) -> str:
         "Replay wall clock - legacy interpreter vs compiled program",
         ["workload", "entries", "legacy ms", "compiled ms",
          "entries/s", "speedup", "best", "identical"], replay_rows)]
+    mmu_rows = []
+    for m in doc.get("mmu", ()):
+        if "skipped" in m:
+            continue
+        mmu_rows.append([
+            f"{m['workload']}/{m['recorder']}", m["pages_mapped"],
+            m["translations"],
+            m["per_page"]["median_s"] * 1e3,
+            m["range"]["median_s"] * 1e3,
+            f"{m['speedup']:.1f}x",
+            "yes" if m["tables_identical"] and m["translations_identical"]
+            else "NO"])
+    if mmu_rows:
+        tables.append(format_table(
+            "MMU wall clock - per-page reference vs range walk + bulk PTEs",
+            ["workload", "pages mapped", "translations", "per-page ms",
+             "range ms", "speedup", "identical"], mmu_rows))
     memsync_rows = []
     for m in doc.get("memsync", ()):
         memsync_rows.append([

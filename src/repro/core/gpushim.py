@@ -170,9 +170,3 @@ class GpuShim(TeeModule):
     # ------------------------------------------------------------------
     def log_position(self) -> int:
         return len(self.log)
-
-    def truncate_log(self, position: int) -> List[Entry]:
-        """Drop entries past ``position`` (rollback discard)."""
-        dropped = self.log[position:]
-        self.log = self.log[:position]
-        return dropped

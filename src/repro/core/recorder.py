@@ -304,6 +304,22 @@ class RecordSession:
     # ------------------------------------------------------------------
     def _attempt(self, clock: VirtualClock, prefix, recoveries: int,
                  inject: bool) -> RecordResult:
+        client_mem = PhysicalMemory(size=self._mem_size)
+        cloud_mem = PhysicalMemory(size=self._mem_size)
+        try:
+            return self._attempt_on(client_mem, cloud_mem, clock, prefix,
+                                    recoveries, inject)
+        finally:
+            # The attempt's objects (shim callbacks, the metastate
+            # provider, segment markers) reference each other in cycles
+            # that only the cyclic GC reclaims; free both zero-filled
+            # stores as soon as the attempt ends instead.
+            client_mem.release()
+            cloud_mem.release()
+
+    def _attempt_on(self, client_mem: PhysicalMemory,
+                    cloud_mem: PhysicalMemory, clock: VirtualClock, prefix,
+                    recoveries: int, inject: bool) -> RecordResult:
         attempt_start = clock.now
         tracer = self.tracer
         if tracer is not None:
@@ -311,7 +327,6 @@ class RecordSession:
                          args={"recoveries": recoveries,
                                "resumes": self._resumes})
         # --- client side -------------------------------------------------
-        client_mem = PhysicalMemory(size=self._mem_size)
         optee = OpTeeOS()
         optee.tzasc.static_reserve(client_mem.base, client_mem.size)
         gpu = MaliGpu(self.sku, client_mem, clock)
@@ -349,7 +364,6 @@ class RecordSession:
         ticket.vm.boot(clock)
 
         # --- cloud side ---------------------------------------------------
-        cloud_mem = PhysicalMemory(size=self._mem_size)
         memsync = MemorySynchronizer(cloud_mem, client_mem,
                                      policy=self.config.sync_policy,
                                      compress_enabled=self.config.compress)

@@ -134,10 +134,3 @@ class ProfilingHook:
 
     def current_function(self) -> Optional[str]:
         return self._stack[-1] if self._stack else None
-
-    def current_category(self) -> str:
-        for name in reversed(self._stack):
-            hf = HOT_FUNCTIONS.get(name)
-            if hf is not None:
-                return hf.category
-        return CommitCategory.OTHER

@@ -14,14 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Set
 
+import numpy as np
+
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory, pages_spanning
 from repro.hw.mmu import (
+    ADDR_MASK,
+    ENTRIES_PER_TABLE,
     ENTRY_INVALID,
     ENTRY_SIZE,
     ENTRY_TABLE,
     ENTRY_TYPE_MASK,
     LEVELS,
+    PTE_DTYPE,
     entry_address,
+    leaf_runs,
     level_index,
     make_ate,
     make_table_entry,
@@ -59,14 +65,32 @@ class MmuTables:
 
     # ------------------------------------------------------------------
     def insert_pages(self, va: int, pa: int, nbytes: int, flags: int) -> int:
-        """Map [va, va+nbytes) -> [pa, pa+nbytes). Returns pages mapped."""
+        """Map [va, va+nbytes) -> [pa, pa+nbytes). Returns pages mapped.
+
+        Each leaf table's run of PTEs is checked and written as one slice.
+        An already-mapped page raises :class:`MmuMapError` with every page
+        before it mapped, as mapping page by page would leave it.
+        """
         if va % PAGE_SIZE or pa % PAGE_SIZE:
             raise MmuMapError(f"unaligned mapping va={va:#x} pa={pa:#x}")
         if nbytes <= 0:
             raise MmuMapError("empty mapping")
         npages = len(pages_spanning(va, nbytes))
-        for i in range(npages):
-            self._map_one(va + i * PAGE_SIZE, pa + i * PAGE_SIZE, flags)
+        ate = make_ate(0, flags, self.pte_format)
+        done = 0
+        for page, n in leaf_runs(va >> PAGE_SHIFT, npages):
+            entry_pa = self._leaf_entry(page, allocate=True)
+            taken = np.flatnonzero(
+                self.mem.view(entry_pa, (n,), PTE_DTYPE) & ENTRY_TYPE_MASK)
+            free = int(taken[0]) if taken.size else n
+            if free:
+                steps = np.arange(done, done + free, dtype=PTE_DTYPE)
+                self.mem.write_array(
+                    entry_pa, (((steps << PAGE_SHIFT) + pa) & ADDR_MASK) | ate)
+            if free < n:
+                raise MmuMapError(
+                    f"va {(page + free) << PAGE_SHIFT:#x} is already mapped")
+            done += n
         self.mapped_bytes += npages * PAGE_SIZE
         return npages
 
@@ -74,9 +98,17 @@ class MmuTables:
         """Invalidate leaf entries for [va, va+nbytes)."""
         npages = len(pages_spanning(va, nbytes))
         removed = 0
-        for i in range(npages):
-            if self._unmap_one(va + i * PAGE_SIZE):
-                removed += 1
+        for page, n in leaf_runs(va >> PAGE_SHIFT, npages):
+            entry_pa = self._leaf_entry(page, allocate=False)
+            if entry_pa == 0:
+                continue
+            entries = self.mem.view(entry_pa, (n,), PTE_DTYPE).copy()
+            live = (entries & ENTRY_TYPE_MASK) != ENTRY_INVALID
+            count = int(np.count_nonzero(live))
+            if count:
+                entries[live] = 0
+                self.mem.write_array(entry_pa, entries)
+                removed += count
         self.mapped_bytes -= removed * PAGE_SIZE
         return removed
 
@@ -95,23 +127,12 @@ class MmuTables:
             table_pa = entry_address(entry)
         return table_pa
 
-    def _map_one(self, va: int, pa: int, flags: int) -> None:
-        leaf = self._walk_to_leaf(va, allocate=True)
-        entry_pa = leaf + level_index(va, LEVELS - 1) * ENTRY_SIZE
-        existing = self.mem.read_u64(entry_pa)
-        if existing & ENTRY_TYPE_MASK != ENTRY_INVALID:
-            raise MmuMapError(f"va {va:#x} is already mapped")
-        self.mem.write_u64(entry_pa, make_ate(pa, flags, self.pte_format))
-
-    def _unmap_one(self, va: int) -> bool:
-        leaf = self._walk_to_leaf(va, allocate=False)
+    def _leaf_entry(self, page: int, allocate: bool) -> int:
+        """PA of the leaf entry for VA page ``page`` (0: no leaf table)."""
+        leaf = self._walk_to_leaf(page << PAGE_SHIFT, allocate)
         if leaf == 0:
-            return False
-        entry_pa = leaf + level_index(va, LEVELS - 1) * ENTRY_SIZE
-        if self.mem.read_u64(entry_pa) & ENTRY_TYPE_MASK == ENTRY_INVALID:
-            return False
-        self.mem.write_u64(entry_pa, 0)
-        return True
+            return 0
+        return leaf + (page & (ENTRIES_PER_TABLE - 1)) * ENTRY_SIZE
 
     # ------------------------------------------------------------------
     def metastate_pfns(self) -> Set[int]:

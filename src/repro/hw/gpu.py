@@ -138,7 +138,10 @@ class MaliGpu:
         self._tiler_config = 0
         self._l2_mmu_config = 0
 
-        self._events: List[Tuple[float, int, Callable[[], None]]] = []
+        # (when, seq, (handler, args)): ``handler(self, *args)`` fires at
+        # ``when``.  Handlers are plain functions, not closures over the
+        # GPU, so pending events never hold it in a reference cycle.
+        self._events: List[Tuple[float, int, Tuple[Callable[..., None], tuple]]] = []
         self._event_seq = 0
         self._service_time: Optional[float] = None
 
@@ -153,28 +156,18 @@ class MaliGpu:
         self.jobs_faulted = 0
         self.resets = 0
 
-        # Per-offset dispatch tables for the register file.  The if-chains
-        # in ``_read_slow``/``_write_slow`` remain the complete reference
-        # decode; the tables shortcut the hot offsets (replay touches the
-        # register file once per recording entry).  Closures capture slot /
-        # address-space *indices*, never the state objects: reset replaces
-        # ``_slots``/``_spaces``/``_irq_raw`` wholesale, so all state must
-        # be looked up through ``self`` at call time.
-        self._read_dispatch: Dict[int, Callable[[], int]] = {}
-        self._write_dispatch: Dict[int, Callable[[int], None]] = {}
-        self._build_dispatch()
-
     # ------------------------------------------------------------------
     # Event machinery
     # ------------------------------------------------------------------
-    def _schedule(self, delay_s: float, action: Callable[[], None]) -> float:
+    def _schedule(self, delay_s: float, handler: Callable[..., None],
+                  *args) -> float:
         # Events scheduled from inside another event's handler cascade
         # from that event's logical time, not from wherever the wall
         # clock happens to be when the backlog is serviced.
         base = self._service_time if self._service_time is not None \
             else self.clock.now
         when = base + delay_s
-        heapq.heappush(self._events, (when, self._event_seq, action))
+        heapq.heappush(self._events, (when, self._event_seq, (handler, args)))
         self._event_seq += 1
         return when
 
@@ -196,8 +189,8 @@ class MaliGpu:
         """
         if dt <= 0:
             return
-        self._events = [(when + dt, seq, action)
-                        for (when, seq, action) in self._events]
+        self._events = [(when + dt, seq, event)
+                        for (when, seq, event) in self._events]
         heapq.heapify(self._events)
         for slot in self._slots:
             if slot.active_until > 0:
@@ -214,10 +207,10 @@ class MaliGpu:
         """Fire all internal events due at or before the current time."""
         now = self.clock.now
         while self._events and self._events[0][0] <= now + 1e-12:
-            when, _, action = heapq.heappop(self._events)
+            when, _, (handler, args) = heapq.heappop(self._events)
             self._service_time = when
             try:
-                action()
+                handler(self, *args)
             finally:
                 self._service_time = None
 
@@ -268,11 +261,11 @@ class MaliGpu:
         """
         self.service()
         self.reg_writes += len(offsets)
-        dispatch = self._write_dispatch
+        dispatch = _WRITE_DISPATCH
         for offset, value in zip(offsets, values):
             fn = dispatch.get(offset)
             if fn is not None:
-                fn(value & 0xFFFF_FFFF)
+                fn(self, value & 0xFFFF_FFFF)
             else:
                 self._write_slow(offset, value & 0xFFFF_FFFF)
 
@@ -288,97 +281,26 @@ class MaliGpu:
         """
         self.service()
         self.reg_reads += len(offsets)
-        dispatch = self._read_dispatch
+        dispatch = _READ_DISPATCH
         slow = self._read_slow
         return tuple(
-            (fn() if (fn := dispatch.get(offset)) is not None
+            (fn(self) if (fn := dispatch.get(offset)) is not None
              else slow(offset)) & 0xFFFF_FFFF
             for offset in offsets)
 
     # -- dispatch -------------------------------------------------------
     def _read(self, offset: int) -> int:
-        fn = self._read_dispatch.get(offset)
+        fn = _READ_DISPATCH.get(offset)
         if fn is not None:
-            return fn()
+            return fn(self)
         return self._read_slow(offset)
 
     def _write(self, offset: int, value: int) -> None:
-        fn = self._write_dispatch.get(offset)
+        fn = _WRITE_DISPATCH.get(offset)
         if fn is not None:
-            fn(value)
+            fn(self, value)
             return
         self._write_slow(offset, value)
-
-    def _build_dispatch(self) -> None:
-        rd = self._read_dispatch
-        wr = self._write_dispatch
-        raw, mask = self._irq_raw, self._irq_mask  # only for key iteration
-
-        # IRQ banks (state dicts re-fetched through self on every call).
-        for line, rs, ms, st, cl in (
-            (GpuIrqLine.GPU, regs.GPU_IRQ_RAWSTAT, regs.GPU_IRQ_MASK,
-             regs.GPU_IRQ_STATUS, regs.GPU_IRQ_CLEAR),
-            (GpuIrqLine.JOB, regs.JOB_IRQ_RAWSTAT, regs.JOB_IRQ_MASK,
-             regs.JOB_IRQ_STATUS, regs.JOB_IRQ_CLEAR),
-            (GpuIrqLine.MMU, regs.MMU_IRQ_RAWSTAT, regs.MMU_IRQ_MASK,
-             regs.MMU_IRQ_STATUS, regs.MMU_IRQ_CLEAR),
-        ):
-            rd[rs] = lambda l=line: self._irq_raw[l]
-            rd[ms] = lambda l=line: self._irq_mask[l]
-            rd[st] = lambda l=line: self._irq_raw[l] & self._irq_mask[l]
-            wr[cl] = lambda v, l=line: self._irq_clear(l, v)
-            wr[ms] = lambda v, l=line: self._irq_set_mask(l, v)
-        assert set(raw) == set(mask)  # three lines, both dicts aligned
-
-        rd[regs.LATEST_FLUSH] = lambda: self._flush_epoch
-        rd[regs.GPU_STATUS] = self._read_gpu_status
-        rd[regs.JOB_IRQ_JS_STATE] = self._read_js_state
-        rd[regs.SHADER_CONFIG] = lambda: self._shader_config
-        rd[regs.TILER_CONFIG] = lambda: self._tiler_config
-        rd[regs.L2_MMU_CONFIG] = lambda: self._l2_mmu_config
-        rd[regs.PWR_OVERRIDE0] = lambda: self._pwr_override0
-        for base, domain in ((regs.SHADER_READY_LO, "shader"),
-                             (regs.TILER_READY_LO, "tiler"),
-                             (regs.L2_READY_LO, "l2")):
-            rd[base] = lambda d=domain: self._ready[d] & 0xFFFF_FFFF
-            rd[base + 4] = lambda d=domain: self._ready[d] >> 32
-        for base, domain in ((regs.SHADER_PWRTRANS_LO, "shader"),
-                             (regs.TILER_PWRTRANS_LO, "tiler"),
-                             (regs.L2_PWRTRANS_LO, "l2")):
-            rd[base] = lambda d=domain: self._pwrtrans[d] & 0xFFFF_FFFF
-            rd[base + 4] = lambda d=domain: self._pwrtrans[d] >> 32
-
-        # Job-slot and address-space banks: delegate with precomputed
-        # (index, relative offset), skipping the divmod decode per access.
-        for nr in range(NUM_JOB_SLOTS):
-            base = regs.JOB_SLOT_BASE + nr * regs.JOB_SLOT_STRIDE
-            for off in (regs.JS_HEAD_LO, regs.JS_HEAD_HI, regs.JS_TAIL_LO,
-                        regs.JS_TAIL_HI, regs.JS_AFFINITY_LO,
-                        regs.JS_AFFINITY_HI, regs.JS_CONFIG, regs.JS_STATUS):
-                rd[base + off] = (lambda n=nr, o=off:
-                                  self._read_slot(n, o))
-            for off in (regs.JS_HEAD_NEXT_LO, regs.JS_HEAD_NEXT_HI,
-                        regs.JS_AFFINITY_NEXT_LO, regs.JS_AFFINITY_NEXT_HI,
-                        regs.JS_CONFIG_NEXT, regs.JS_FLUSH_ID_NEXT,
-                        regs.JS_COMMAND_NEXT, regs.JS_COMMAND):
-                wr[base + off] = (lambda v, n=nr, o=off:
-                                  self._write_slot(n, o, v))
-        for nr in range(NUM_ADDRESS_SPACES):
-            base = regs.AS_BASE + nr * regs.AS_STRIDE
-            for off in (regs.AS_TRANSTAB_LO, regs.AS_TRANSTAB_HI,
-                        regs.AS_MEMATTR_LO, regs.AS_MEMATTR_HI,
-                        regs.AS_STATUS, regs.AS_FAULTSTATUS,
-                        regs.AS_FAULTADDRESS_LO, regs.AS_FAULTADDRESS_HI,
-                        regs.AS_TRANSCFG_LO, regs.AS_TRANSCFG_HI):
-                rd[base + off] = (lambda n=nr, o=off:
-                                  self._read_as(n, o))
-            for off in (regs.AS_TRANSTAB_LO, regs.AS_TRANSTAB_HI,
-                        regs.AS_MEMATTR_LO, regs.AS_MEMATTR_HI,
-                        regs.AS_LOCKADDR_LO, regs.AS_LOCKADDR_HI,
-                        regs.AS_TRANSCFG_LO, regs.AS_TRANSCFG_HI,
-                        regs.AS_COMMAND):
-                wr[base + off] = (lambda v, n=nr, o=off:
-                                  self._write_as(n, o, v))
 
     def _irq_clear(self, line: str, value: int) -> None:
         self._irq_raw[line] &= ~value
@@ -627,32 +549,32 @@ class MaliGpu:
         if not to_on:
             return
         self._pwrtrans[domain] |= to_on
+        self._schedule(POWER_TRANSITION_S, MaliGpu._powered_on, domain, to_on)
 
-        def complete(d=domain, m=to_on) -> None:
-            # Shader and tiler cores sit behind the L2: they cannot come
-            # up until their cache slice is powered (real Mali domain
-            # dependency — drivers must sequence L2 first).
-            if d != "l2" and self._ready["l2"] != self.sku.l2_present_mask:
-                self._schedule(POWER_TRANSITION_S, complete)
-                return
-            self._pwrtrans[d] &= ~m
-            self._ready[d] |= m
-            self._raise_irq(GpuIrqLine.GPU, GpuIrq.POWER_CHANGED_ALL)
-
-        self._schedule(POWER_TRANSITION_S, complete)
+    def _powered_on(self, domain: str, mask: int) -> None:
+        # Shader and tiler cores sit behind the L2: they cannot come up
+        # until their cache slice is powered (real Mali domain dependency
+        # — drivers must sequence L2 first).
+        if domain != "l2" and self._ready["l2"] != self.sku.l2_present_mask:
+            self._schedule(POWER_TRANSITION_S, MaliGpu._powered_on,
+                           domain, mask)
+            return
+        self._pwrtrans[domain] &= ~mask
+        self._ready[domain] |= mask
+        self._raise_irq(GpuIrqLine.GPU, GpuIrq.POWER_CHANGED_ALL)
 
     def _power_off(self, domain: str, mask: int) -> None:
         to_off = mask & self._ready[domain]
         if not to_off:
             return
         self._pwrtrans[domain] |= to_off
+        self._schedule(POWER_TRANSITION_S, MaliGpu._powered_off,
+                       domain, to_off)
 
-        def complete(d=domain, m=to_off) -> None:
-            self._pwrtrans[d] &= ~m
-            self._ready[d] &= ~m
-            self._raise_irq(GpuIrqLine.GPU, GpuIrq.POWER_CHANGED_ALL)
-
-        self._schedule(POWER_TRANSITION_S, complete)
+    def _powered_off(self, domain: str, mask: int) -> None:
+        self._pwrtrans[domain] &= ~mask
+        self._ready[domain] &= ~mask
+        self._raise_irq(GpuIrqLine.GPU, GpuIrq.POWER_CHANGED_ALL)
 
     def domains_ready(self) -> Dict[str, int]:
         self.service()
@@ -666,11 +588,9 @@ class MaliGpu:
             self._do_reset(hard=cmd == GpuCommand.HARD_RESET)
         elif cmd in (GpuCommand.CLEAN_CACHES, GpuCommand.CLEAN_INV_CACHES):
             self._flush_epoch += 1
-
-            def complete() -> None:
-                self._raise_irq(GpuIrqLine.GPU, GpuIrq.CLEAN_CACHES_COMPLETED)
-
-            self._flush_active_until = self._schedule(CACHE_FLUSH_S, complete)
+            self._flush_active_until = self._schedule(
+                CACHE_FLUSH_S, MaliGpu._raise_irq, GpuIrqLine.GPU,
+                GpuIrq.CLEAN_CACHES_COMPLETED)
         # NOP / perf-counter commands: accepted, no modelled effect.
 
     def _do_reset(self, hard: bool) -> None:
@@ -692,11 +612,9 @@ class MaliGpu:
         self._pwr_key_unlocked = False
         if hard:
             self._flush_epoch = 0
-
-        def complete() -> None:
-            self._raise_irq(GpuIrqLine.GPU, GpuIrq.RESET_COMPLETED)
-
-        self._reset_active_until = self._schedule(SOFT_RESET_S, complete)
+        self._reset_active_until = self._schedule(
+            SOFT_RESET_S, MaliGpu._raise_irq, GpuIrqLine.GPU,
+            GpuIrq.RESET_COMPLETED)
 
     def hard_reset_now(self) -> None:
         """Out-of-band reset used by the TEE before/after replay (§3.2)."""
@@ -750,24 +668,24 @@ class MaliGpu:
             fault_status = (JsStatus.JOB_READ_FAULT
                             if isinstance(exc, GpuPageFault)
                             else JsStatus.JOB_CONFIG_FAULT)
-
-            def fault(s=slot, n=nr, fs=fault_status) -> None:
-                s.status = fs
-                s.active_until = -1.0
-                # Mali signals job failure on bit (16 + slot).
-                self._raise_irq(GpuIrqLine.JOB, 1 << (16 + n))
-
-            slot.active_until = self._schedule(10e-6, fault)
+            slot.active_until = self._schedule(
+                10e-6, MaliGpu._job_faulted, slot, nr, fault_status)
             return
-
-        def complete(s=slot, n=nr) -> None:
-            s.status = JsStatus.DONE
-            s.active_until = -1.0
-            self.jobs_completed += 1
-            self._raise_irq(GpuIrqLine.JOB, 1 << n)
-
         duration = result.duration_s / max(self.clock_scale, 1e-6)
-        slot.active_until = self._schedule(duration, complete)
+        slot.active_until = self._schedule(duration, MaliGpu._job_done,
+                                           slot, nr)
+
+    def _job_faulted(self, slot: _JobSlot, nr: int, status: int) -> None:
+        slot.status = status
+        slot.active_until = -1.0
+        # Mali signals job failure on bit (16 + slot).
+        self._raise_irq(GpuIrqLine.JOB, 1 << (16 + nr))
+
+    def _job_done(self, slot: _JobSlot, nr: int) -> None:
+        slot.status = JsStatus.DONE
+        slot.active_until = -1.0
+        self.jobs_completed += 1
+        self._raise_irq(GpuIrqLine.JOB, 1 << nr)
 
     # ------------------------------------------------------------------
     # Address spaces
@@ -812,7 +730,7 @@ class MaliGpu:
                 self.mmu.flush_tlb()
         elif cmd in (AsCommand.LOCK, AsCommand.UNLOCK, AsCommand.NOP):
             pass
-        space.active_until = self._schedule(AS_COMMAND_S, lambda: None)
+        space.active_until = self._schedule(AS_COMMAND_S, _no_effect)
 
     # ------------------------------------------------------------------
     def is_idle(self) -> bool:
@@ -822,3 +740,88 @@ class MaliGpu:
                 and self._flush_active_until <= now
                 and self._reset_active_until <= now
                 and not any(self._pwrtrans.values()))
+
+
+def _no_effect(gpu: MaliGpu) -> None:
+    """Event handler for a completion with no modelled side effect."""
+
+
+def _build_dispatch():
+    """Per-offset register dispatch tables, built once for the class.
+
+    The if-chains in ``_read_slow``/``_write_slow`` remain the complete
+    reference decode; the tables shortcut the hot offsets (replay touches
+    the register file once per recording entry).  Entries are functions
+    of the GPU (readers ``fn(gpu)``, writers ``fn(gpu, value)``) that
+    capture slot / address-space *indices*, never state objects: reset
+    replaces ``_slots``/``_spaces``/``_irq_raw`` wholesale, so all state
+    is looked up through the GPU at call time.
+    """
+    rd: Dict[int, Callable[[MaliGpu], int]] = {}
+    wr: Dict[int, Callable[[MaliGpu, int], None]] = {}
+
+    for line, rs, ms, st, cl in (
+        (GpuIrqLine.GPU, regs.GPU_IRQ_RAWSTAT, regs.GPU_IRQ_MASK,
+         regs.GPU_IRQ_STATUS, regs.GPU_IRQ_CLEAR),
+        (GpuIrqLine.JOB, regs.JOB_IRQ_RAWSTAT, regs.JOB_IRQ_MASK,
+         regs.JOB_IRQ_STATUS, regs.JOB_IRQ_CLEAR),
+        (GpuIrqLine.MMU, regs.MMU_IRQ_RAWSTAT, regs.MMU_IRQ_MASK,
+         regs.MMU_IRQ_STATUS, regs.MMU_IRQ_CLEAR),
+    ):
+        rd[rs] = lambda g, l=line: g._irq_raw[l]
+        rd[ms] = lambda g, l=line: g._irq_mask[l]
+        rd[st] = lambda g, l=line: g._irq_raw[l] & g._irq_mask[l]
+        wr[cl] = lambda g, v, l=line: g._irq_clear(l, v)
+        wr[ms] = lambda g, v, l=line: g._irq_set_mask(l, v)
+
+    rd[regs.LATEST_FLUSH] = lambda g: g._flush_epoch
+    rd[regs.GPU_STATUS] = MaliGpu._read_gpu_status
+    rd[regs.JOB_IRQ_JS_STATE] = MaliGpu._read_js_state
+    rd[regs.SHADER_CONFIG] = lambda g: g._shader_config
+    rd[regs.TILER_CONFIG] = lambda g: g._tiler_config
+    rd[regs.L2_MMU_CONFIG] = lambda g: g._l2_mmu_config
+    rd[regs.PWR_OVERRIDE0] = lambda g: g._pwr_override0
+    for base, domain in ((regs.SHADER_READY_LO, "shader"),
+                         (regs.TILER_READY_LO, "tiler"),
+                         (regs.L2_READY_LO, "l2")):
+        rd[base] = lambda g, d=domain: g._ready[d] & 0xFFFF_FFFF
+        rd[base + 4] = lambda g, d=domain: g._ready[d] >> 32
+    for base, domain in ((regs.SHADER_PWRTRANS_LO, "shader"),
+                         (regs.TILER_PWRTRANS_LO, "tiler"),
+                         (regs.L2_PWRTRANS_LO, "l2")):
+        rd[base] = lambda g, d=domain: g._pwrtrans[d] & 0xFFFF_FFFF
+        rd[base + 4] = lambda g, d=domain: g._pwrtrans[d] >> 32
+
+    # Job-slot and address-space banks: delegate with precomputed
+    # (index, relative offset), skipping the divmod decode per access.
+    for nr in range(NUM_JOB_SLOTS):
+        base = regs.JOB_SLOT_BASE + nr * regs.JOB_SLOT_STRIDE
+        for off in (regs.JS_HEAD_LO, regs.JS_HEAD_HI, regs.JS_TAIL_LO,
+                    regs.JS_TAIL_HI, regs.JS_AFFINITY_LO,
+                    regs.JS_AFFINITY_HI, regs.JS_CONFIG, regs.JS_STATUS):
+            rd[base + off] = lambda g, n=nr, o=off: g._read_slot(n, o)
+        for off in (regs.JS_HEAD_NEXT_LO, regs.JS_HEAD_NEXT_HI,
+                    regs.JS_AFFINITY_NEXT_LO, regs.JS_AFFINITY_NEXT_HI,
+                    regs.JS_CONFIG_NEXT, regs.JS_FLUSH_ID_NEXT,
+                    regs.JS_COMMAND_NEXT, regs.JS_COMMAND):
+            wr[base + off] = (lambda g, v, n=nr, o=off:
+                              g._write_slot(n, o, v))
+    for nr in range(NUM_ADDRESS_SPACES):
+        base = regs.AS_BASE + nr * regs.AS_STRIDE
+        for off in (regs.AS_TRANSTAB_LO, regs.AS_TRANSTAB_HI,
+                    regs.AS_MEMATTR_LO, regs.AS_MEMATTR_HI,
+                    regs.AS_STATUS, regs.AS_FAULTSTATUS,
+                    regs.AS_FAULTADDRESS_LO, regs.AS_FAULTADDRESS_HI,
+                    regs.AS_TRANSCFG_LO, regs.AS_TRANSCFG_HI):
+            rd[base + off] = lambda g, n=nr, o=off: g._read_as(n, o)
+        for off in (regs.AS_TRANSTAB_LO, regs.AS_TRANSTAB_HI,
+                    regs.AS_MEMATTR_LO, regs.AS_MEMATTR_HI,
+                    regs.AS_LOCKADDR_LO, regs.AS_LOCKADDR_HI,
+                    regs.AS_TRANSCFG_LO, regs.AS_TRANSCFG_HI,
+                    regs.AS_COMMAND):
+            wr[base + off] = (lambda g, v, n=nr, o=off:
+                              g._write_as(n, o, v))
+    return rd, wr
+
+
+_READ_DISPATCH, _WRITE_DISPATCH = _build_dispatch()

@@ -65,6 +65,10 @@ class OutOfMemoryError(MemoryError):
     """The physical carveout cannot satisfy an allocation."""
 
 
+class MemoryReleasedError(RuntimeError):
+    """Access to a :class:`PhysicalMemory` after :meth:`~PhysicalMemory.release`."""
+
+
 class PhysicalMemory:
     """Byte-addressable physical memory with dirty tracking.
 
@@ -81,16 +85,13 @@ class PhysicalMemory:
         self._next_free = base
         self._regions: List[Region] = []
         self._dirty: Set[int] = set()
-        # Write-watch support for coherent caches (the GPU MMU's
-        # page-walk cache): consumers register page frames via
-        # watch_pages().  ``watch_epoch`` bumps whenever *any* watched
-        # page is written (a cheap "nothing changed" fast path);
-        # ``watch_versions`` counts writes per watched frame so caches
-        # can invalidate only entries that depend on rewritten pages.
+        # Write-watch support for coherent caches (the GPU MMU's range
+        # cache): consumers register page frames via watch_pages(), and
+        # ``watch_epoch`` bumps whenever *any* watched page is written.
         self._watch: Set[int] = set()
         self._watch_arr: Optional[np.ndarray] = None
         self.watch_epoch = 0
-        self.watch_versions: Dict[int, int] = {}
+        self.released = False
 
     # ------------------------------------------------------------------
     # Write watching (cache-coherency hook)
@@ -103,13 +104,24 @@ class PhysicalMemory:
             self._watch_arr = None
 
     def _note_write(self, pages: Iterable[int]) -> None:
-        if self._watch:
-            hit = self._watch.intersection(pages)
-            if hit:
-                self.watch_epoch += 1
-                versions = self.watch_versions
-                for pfn in hit:
-                    versions[pfn] = versions.get(pfn, 0) + 1
+        if self._watch and not self._watch.isdisjoint(pages):
+            self.watch_epoch += 1
+
+    # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+    def release(self) -> None:
+        """Free the backing store now rather than whenever the last
+        reference goes.  Every later byte access raises
+        :class:`MemoryReleasedError`; bookkeeping (regions, dirty set)
+        stays readable."""
+        self._store = np.empty(0, dtype=np.uint8)
+        self.size = 0
+        self.released = True
+
+    def _released_error(self) -> MemoryReleasedError:
+        return MemoryReleasedError(
+            f"physical memory at {self.base:#x} was released")
 
     # ------------------------------------------------------------------
     # Allocation
@@ -117,6 +129,8 @@ class PhysicalMemory:
     def alloc(self, size: int, label: str = "anon") -> Region:
         size = align_up(max(size, 1))
         if self._next_free + size > self.base + self.size:
+            if self.released:
+                raise self._released_error()
             raise OutOfMemoryError(
                 f"cannot allocate {size} bytes for {label!r}: "
                 f"{self.base + self.size - self._next_free} bytes free"
@@ -135,6 +149,8 @@ class PhysicalMemory:
     def _offset(self, pa: int, nbytes: int) -> int:
         off = pa - self.base
         if off < 0 or off + nbytes > self.size:
+            if self.released:
+                raise self._released_error()
             raise ValueError(
                 f"physical access out of range: pa={pa:#x} len={nbytes}"
             )
@@ -234,7 +250,7 @@ class PhysicalMemory:
         collapse into single slice assignments, and runs whose bytes
         already match memory are skipped entirely (the store and the
         write-watch bump — content-identical restores leave translations
-        valid, so the MMU's walk cache survives steady-state replay).
+        valid, so the MMU's range cache survives steady-state replay).
         Resulting memory contents and dirty tracking are identical to
         per-page :meth:`write_page` calls.
         """
@@ -252,7 +268,7 @@ class PhysicalMemory:
             return
         base_pfn = self.base >> PAGE_SHIFT
         store = self._store.reshape(-1, PAGE_SIZE)
-        touched_watch: List[int] = []
+        touched_watch = False
         # Run boundaries where the frame numbers stop being consecutive.
         cuts = np.nonzero(np.diff(pfns.astype(np.int64)) != 1)[0] + 1
         run_start = 0
@@ -261,7 +277,7 @@ class PhysicalMemory:
             incoming = pages[run_start:run_end]
             current = store[first:first + (run_end - run_start)]
             if not np.array_equal(current, incoming):
-                if self._watch:
+                if self._watch and not touched_watch:
                     if self._watch_arr is None:
                         self._watch_arr = np.fromiter(
                             self._watch, dtype=np.uint64,
@@ -271,17 +287,14 @@ class PhysicalMemory:
                     # Only watched pages whose *own* bytes change count:
                     # a run mixing dirty data pages with byte-identical
                     # page-table pages must not invalidate translations.
-                    for i in np.nonzero(mask)[0]:
-                        if not np.array_equal(current[i], incoming[i]):
-                            touched_watch.append(int(run_pfns[i]))
+                    touched_watch = any(
+                        not np.array_equal(current[i], incoming[i])
+                        for i in np.nonzero(mask)[0])
                 current[:] = incoming
             run_start = run_end
         self._dirty.update(pfns.tolist())
         if touched_watch:
             self.watch_epoch += 1
-            versions = self.watch_versions
-            for pfn in touched_watch:
-                versions[pfn] = versions.get(pfn, 0) + 1
 
     def pages_view(self) -> Optional[np.ndarray]:
         """The whole store as an ``(n_pages, PAGE_SIZE)`` uint8 view.
@@ -294,35 +307,9 @@ class PhysicalMemory:
         """
         if self.base % PAGE_SIZE:
             return None
+        if self.released:
+            raise self._released_error()
         return self._store.reshape(-1, PAGE_SIZE)
-
-    def pages_array(self, pfns: Iterable[int]) -> np.ndarray:
-        """Gather whole pages into an ``(n, PAGE_SIZE)`` uint8 array.
-
-        A consecutive frame-number run returns a zero-copy *view* of the
-        backing store (the §5 synchronizer compares thousands of pages
-        per sync point, and the copy alone would dominate); other shapes
-        return a fancy-index copy.  Callers must treat the result as
-        read-only and copy any rows they retain.
-        """
-        idx = np.fromiter(pfns, dtype=np.int64)
-        n = len(idx)
-        if n == 0:
-            return np.empty((0, PAGE_SIZE), dtype=np.uint8)
-        self._offset(int(idx.min()) << PAGE_SHIFT, PAGE_SIZE)
-        self._offset(int(idx.max()) << PAGE_SHIFT, PAGE_SIZE)
-        if self.base % PAGE_SIZE == 0:
-            rel = idx - (self.base >> PAGE_SHIFT)
-            store = self._store.reshape(-1, PAGE_SIZE)
-            lo = int(rel[0])
-            if int(rel[-1]) - lo == n - 1 and bool(np.all(np.diff(rel) == 1)):
-                return store[lo:lo + n]
-            return store[rel]
-        out = np.empty((n, PAGE_SIZE), dtype=np.uint8)
-        for i, pfn in enumerate(idx):
-            off = self._offset(int(pfn) << PAGE_SHIFT, PAGE_SIZE)
-            out[i] = self._store[off:off + PAGE_SIZE]
-        return out
 
     def pages_of_region(self, region: Region) -> Iterable[int]:
         return pages_spanning(region.base, region.size)

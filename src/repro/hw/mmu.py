@@ -17,7 +17,9 @@ format variations between SKUs break replay (§2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -33,6 +35,11 @@ ENTRY_TYPE_MASK = 0x3
 ENTRY_INVALID = 0x0
 ENTRY_ATE = 0x1  # address translation entry (a mapped page)
 ENTRY_TABLE = 0x3  # pointer to next-level table
+
+#: A leaf table's entries as one little-endian numpy slice.
+PTE_DTYPE = np.dtype("<u8")
+# Address-bit distance from a leaf run's first page to each later page.
+_PAGE_STEPS = np.arange(ENTRIES_PER_TABLE, dtype=PTE_DTYPE) << PAGE_SHIFT
 
 
 class PteFlags:
@@ -91,6 +98,18 @@ class WalkResult:
     entry: int
 
 
+def leaf_runs(first_page: int, npages: int) -> Iterator[Tuple[int, int]]:
+    """Split VA pages ``[first_page, first_page + npages)`` at leaf-table
+    boundaries into ``(page, count)`` runs: every page of a run is mapped
+    by one leaf table, under one upper-level walk."""
+    end = first_page + npages
+    page = first_page
+    while page < end:
+        stop = min(end, (page | (ENTRIES_PER_TABLE - 1)) + 1)
+        yield page, stop - page
+        page = stop
+
+
 class PageTableWalker:
     """Software walker over in-memory page tables (shared by GPU and tools)."""
 
@@ -98,34 +117,34 @@ class PageTableWalker:
         self.mem = mem
         self.pte_format = pte_format
 
-    def walk(self, root_pa: int, va: int,
-             trace: Optional[List[int]] = None) -> Optional[WalkResult]:
-        """Translate ``va`` under ``root_pa``.  When ``trace`` is given,
-        the page frame of every table touched is appended to it (used by
-        the MMU's walk cache to register coherency watches)."""
+    def leaf_table(self, root_pa: int, va: int) -> Tuple[Optional[int], List[int]]:
+        """Walk the upper levels for ``va``: the PA of the leaf table that
+        maps it (``None`` when the walk stops early) and the page frame of
+        every table read on the way."""
+        trace: List[int] = []
         if va >> VA_BITS:
-            return None
+            return None, trace
         table_pa = root_pa
-        for level in range(LEVELS):
-            if trace is not None:
-                trace.append(table_pa >> PAGE_SHIFT)
-            entry_pa = table_pa + level_index(va, level) * ENTRY_SIZE
-            entry = self.mem.read_u64(entry_pa)
-            kind = entry & ENTRY_TYPE_MASK
-            if kind == ENTRY_INVALID:
-                return None
-            if level < LEVELS - 1:
-                if kind != ENTRY_TABLE:
-                    return None
-                table_pa = entry_address(entry)
-            else:
-                if kind != ENTRY_ATE:
-                    return None
-                pa = entry_address(entry) | (va & (PAGE_SIZE - 1))
-                return WalkResult(
-                    pa=pa, flags=ate_flags(entry, self.pte_format), entry=entry
-                )
-        return None
+        for level in range(LEVELS - 1):
+            trace.append(table_pa >> PAGE_SHIFT)
+            entry = self.mem.read_u64(table_pa + level_index(va, level) * ENTRY_SIZE)
+            if entry & ENTRY_TYPE_MASK != ENTRY_TABLE:
+                return None, trace
+            table_pa = entry_address(entry)
+        trace.append(table_pa >> PAGE_SHIFT)
+        return table_pa, trace
+
+    def walk(self, root_pa: int, va: int) -> Optional[WalkResult]:
+        """Translate ``va`` under ``root_pa``."""
+        leaf, _ = self.leaf_table(root_pa, va)
+        if leaf is None:
+            return None
+        entry = self.mem.read_u64(leaf + level_index(va, LEVELS - 1) * ENTRY_SIZE)
+        if entry & ENTRY_TYPE_MASK != ENTRY_ATE:
+            return None
+        pa = entry_address(entry) | (va & (PAGE_SIZE - 1))
+        return WalkResult(pa=pa, flags=ate_flags(entry, self.pte_format),
+                          entry=entry)
 
     def table_pages(self, root_pa: int) -> List[int]:
         """Page frame numbers of every live page-table page under a root.
@@ -176,6 +195,11 @@ class GpuMmu:
     The TLB makes the driver's UPDATE/FLUSH protocol observable: mapping
     changes are invisible to the GPU until the driver issues an AS command,
     just like real hardware.
+
+    Translation works on ranges: one upper-level walk per leaf table, then
+    the leaf table's slice is checked as one array.  The result, the
+    faults and the TLB contents are exactly those of translating the
+    range one page at a time in VA order.
     """
 
     def __init__(self, mem: PhysicalMemory, pte_format: int) -> None:
@@ -184,22 +208,13 @@ class GpuMmu:
         self.walker = PageTableWalker(mem, pte_format)
         self.transtab: int = 0
         self.enabled: bool = False
-        self._tlb: Dict[int, Tuple[int, int]] = {}
+        # va_page -> the ATE a walk read for it; survives table changes
+        # until the next flush.
+        self._tlb: Dict[int, int] = {}
         self.fault_status: int = 0
         self.fault_address: int = 0
         self.tlb_flushes: int = 0
-        # Page-walk cache (like a hardware paging-structure cache): maps
-        # (root, va_page) -> [pa_page, flags, trace, versions, epoch] and
-        # *survives* TLB flushes.  Unlike the TLB — whose staleness until
-        # an explicit FLUSH command is part of the modelled driver/
-        # hardware protocol — this cache is kept coherent: the backing
-        # memory bumps ``watch_epoch``/per-page ``watch_versions`` when a
-        # traversed page-table page is written, and each entry revalidates
-        # the versions of exactly the table pages its walk touched, so a
-        # rewrite of one table invalidates only dependent translations.
-        # Faults (negative walks) are never cached.
-        self._walk_cache: Dict[Tuple[int, int], list] = {}
-        self.walks: int = 0
+        self._flag_shift = PteFlags.FORMAT_SHIFT[pte_format]
         # Range-translation cache for translate_contiguous: maps
         # (root, va, nbytes, access) -> (base_pa, epoch).  Valid only
         # while watch_epoch is unchanged, i.e. while no traversed page
@@ -222,41 +237,7 @@ class GpuMmu:
         """Translate a GPU VA, enforcing permissions. ``access`` in r/w/x."""
         if not self.enabled:
             raise GpuPageFault(va, access, "MMU disabled")
-        va_page = va >> PAGE_SHIFT
-        cached = self._tlb.get(va_page)
-        if cached is None:
-            mem = self.mem
-            epoch = mem.watch_epoch
-            key = (self.transtab, va_page)
-            entry = self._walk_cache.get(key)
-            if entry is not None and entry[4] != epoch:
-                versions = mem.watch_versions
-                for pfn, seen in zip(entry[2], entry[3]):
-                    if versions.get(pfn, 0) != seen:
-                        entry = None
-                        break
-                else:
-                    entry[4] = epoch
-            if entry is None:
-                trace: List[int] = []
-                result = self.walker.walk(self.transtab, va, trace)
-                self.walks += 1
-                mem.watch_pages(trace)
-                if result is None:
-                    self._fault(va, access, "unmapped address")
-                versions = mem.watch_versions
-                entry = [result.pa >> PAGE_SHIFT, result.flags,
-                         tuple(trace),
-                         tuple(versions.get(pfn, 0) for pfn in trace),
-                         epoch]
-                self._walk_cache[key] = entry
-            cached = (entry[0], entry[1])
-            self._tlb[va_page] = cached
-        pa_page, flags = cached
-        needed = _ACCESS_BITS[access]
-        if not flags & needed:
-            self._fault(va, access, f"permission denied (flags={flags:#x})")
-        return (pa_page << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
+        return self._translate_range(va, 1, access)
 
     def translate_contiguous(self, va: int, nbytes: int, access: str = "r") -> int:
         """Translate a range that must be physically contiguous.
@@ -274,16 +255,90 @@ class GpuMmu:
         hit = self._range_cache.get(key)
         if hit is not None and hit[1] == epoch:
             return hit[0]
-        base_pa = self.translate(va, access)
-        offset = PAGE_SIZE - (va & (PAGE_SIZE - 1))
-        while offset < nbytes:
-            next_pa = self.translate(va + offset, access)
-            if next_pa != base_pa + offset:
-                raise GpuPageFault(va + offset, access,
-                                   "range is not physically contiguous")
-            offset += PAGE_SIZE
+        base_pa = self._translate_range(va, nbytes, access)
         self._range_cache[key] = (base_pa, epoch)
         return base_pa
+
+    def _translate_range(self, va: int, nbytes: int, access: str) -> int:
+        """Translate every page of ``[va, va + nbytes)`` in VA order and
+        require physical contiguity, stopping at the first failing page.
+
+        Pages in the TLB use their (possibly stale) cached entry; the rest
+        come from one walk per leaf table, and exactly the pages a
+        per-page loop would have reached are filled into the TLB.  A
+        leading run of TLB hits is checked without a walk, as per-page
+        translation would.
+        """
+        tlb = self._tlb
+        needed = _ACCESS_BITS[access] << self._flag_shift
+        ok_mask = ENTRY_TYPE_MASK | needed
+        ok_bits = ENTRY_ATE | needed
+        first = va >> PAGE_SHIFT
+        end = ((va + nbytes - 1) >> PAGE_SHIFT) + 1
+        base = 0   # address bits of the first page's entry
+        page = first
+        while page < end:
+            stop = min(end, (page | (ENTRIES_PER_TABLE - 1)) + 1)
+            hits = tlb.keys() & range(page, stop) if tlb else ()
+            if page in hits:
+                run = page + 1
+                while run < stop and run in hits:
+                    run += 1
+                stop = run
+                ptes = np.fromiter(map(tlb.__getitem__, range(page, stop)),
+                                   PTE_DTYPE, stop - page)
+            else:
+                leaf, trace = self.walker.leaf_table(self.transtab,
+                                                     page << PAGE_SHIFT)
+                if leaf is None:
+                    ptes = np.zeros(stop - page, PTE_DTYPE)
+                else:
+                    ptes = self.mem.view(
+                        leaf + (page & (ENTRIES_PER_TABLE - 1)) * ENTRY_SIZE,
+                        (stop - page,), PTE_DTYPE)
+                    if hits:
+                        ptes = ptes.copy()
+                self.mem.watch_pages(trace)
+                for hit in hits:
+                    ptes[hit - page] = tlb[hit]
+            n = stop - page
+            head = int(ptes[0])
+            if page == first:
+                base = head & ADDR_MASK
+            expect = base + ((page - first) << PAGE_SHIFT)
+            # The common run: every entry is the first plus its page step,
+            # with no carry out of the address field — the same kind and
+            # flags throughout, and physically contiguous.
+            if (head & ok_mask == ok_bits and head & ADDR_MASK == expect
+                    and expect + ((n - 1) << PAGE_SHIFT) <= ADDR_MASK
+                    and (n == 1
+                         or (ptes[1:] - _PAGE_STEPS[1:n] == head).all())):
+                bad = n
+            else:
+                good = ((ptes & ok_mask) == ok_bits) & (
+                    (ptes & ADDR_MASK) - _PAGE_STEPS[:n] == expect)
+                bad = n if good.all() else int(good.argmin())
+            if bad < n:
+                entry = int(ptes[bad])
+                filled = bad + 1 if entry & ENTRY_TYPE_MASK == ENTRY_ATE else bad
+                tlb.update(zip(range(page, page + filled),
+                               ptes[:filled].tolist()))
+                self._range_fault(va if page + bad == first
+                                  else (page + bad) << PAGE_SHIFT,
+                                  access, entry)
+            tlb.update(zip(range(page, stop), ptes.tolist()))
+            page = stop
+        return base | (va & (PAGE_SIZE - 1))
+
+    def _range_fault(self, va: int, access: str, entry: int) -> None:
+        """Raise the fault per-page translation raises at ``va``, whose
+        (TLB or walked) entry is ``entry``."""
+        if entry & ENTRY_TYPE_MASK != ENTRY_ATE:
+            self._fault(va, access, "unmapped address")
+        flags = ate_flags(entry, self.pte_format)
+        if not flags & _ACCESS_BITS[access]:
+            self._fault(va, access, f"permission denied (flags={flags:#x})")
+        raise GpuPageFault(va, access, "range is not physically contiguous")
 
     def _fault(self, va: int, access: str, reason: str) -> None:
         self.fault_status = 0xC1 if access == "w" else 0xC0

@@ -101,9 +101,3 @@ class Graph:
             node.layer.param_count([self.shape_of(i) for i in node.inputs])
             for node in self.nodes
         )
-
-    def node_by_name(self, name: str) -> Node:
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise GraphError(f"no node named {name!r}")

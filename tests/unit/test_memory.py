@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hw.memory import (
+    MemoryReleasedError,
     OutOfMemoryError,
     PAGE_SIZE,
     PhysicalMemory,
@@ -168,3 +169,36 @@ class TestDirtyTracking:
         snap = mem.snapshot_pages(pfns)
         assert set(snap) == set(pfns)
         assert snap[page_of(region.base)][:8] == b"\x05" * 8
+
+
+class TestRelease:
+    def released(self):
+        mem = PhysicalMemory(size=1 << 20)
+        region = mem.alloc(PAGE_SIZE, "buf")
+        mem.write(region.base, b"\x07" * 16)
+        mem.release()
+        return mem, region
+
+    def test_every_access_raises(self):
+        mem, region = self.released()
+        pfns = np.array([region.base >> 12])
+        accesses = [
+            lambda: mem.read(region.base, 16),
+            lambda: mem.read_u64(region.base),
+            lambda: mem.write_u32(region.base, 1),
+            lambda: mem.fill(region.base, 8, 0),
+            lambda: mem.view(region.base, (4,)),
+            lambda: mem.write_array(region.base, np.zeros(4, np.float32)),
+            lambda: mem.write_pages(pfns, np.zeros((1, PAGE_SIZE), np.uint8)),
+            lambda: mem.pages_view(),
+            lambda: mem.alloc(PAGE_SIZE),
+        ]
+        for access in accesses:
+            with pytest.raises(MemoryReleasedError):
+                access()
+
+    def test_bookkeeping_survives(self):
+        mem, region = self.released()
+        assert mem.released
+        assert mem.regions() == [region]
+        assert region.base >> 12 in mem.dirty_pages()
